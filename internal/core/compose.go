@@ -60,9 +60,7 @@ func Compose(g1, g2 *graph.Graph, d DirCond, f ComposeFn, ids *graph.IDSource) (
 				out.PutNode(nodeFromEither(v, g2, g1))
 			}
 			nl := graph.NewLink(ids.NextLink(), u, v, types...)
-			if attrs != nil {
-				nl.Attrs = attrs
-			}
+			nl.Attrs = attrs
 			if err := out.AddLink(nl); err != nil {
 				return nil, err
 			}

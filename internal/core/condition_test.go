@@ -29,19 +29,19 @@ func TestStructCondID(t *testing.T) {
 	if !Cond("id", "101").satisfies(int64(john.ID), john.Types, john.Attrs) {
 		t.Error("id=101 should match John")
 	}
-	if !CondOp("id", Ne, "101").satisfies(102, nil, nil) {
+	if !CondOp("id", Ne, "101").satisfies(102, nil, graph.Attrs{}) {
 		t.Error("id!=101 should match 102")
 	}
-	if CondOp("id", Ne, "101").satisfies(101, nil, nil) {
+	if CondOp("id", Ne, "101").satisfies(101, nil, graph.Attrs{}) {
 		t.Error("id!=101 should not match 101")
 	}
-	if !CondOp("id", Ge, "200").satisfies(201, nil, nil) {
+	if !CondOp("id", Ge, "200").satisfies(201, nil, graph.Attrs{}) {
 		t.Error("id>=200 should match 201")
 	}
-	if CondOp("id", Lt, "200").satisfies(201, nil, nil) {
+	if CondOp("id", Lt, "200").satisfies(201, nil, graph.Attrs{}) {
 		t.Error("id<200 should not match 201")
 	}
-	if CondOp("id", Ge, "not-a-number").satisfies(201, nil, nil) {
+	if CondOp("id", Ge, "not-a-number").satisfies(201, nil, graph.Attrs{}) {
 		t.Error("malformed numeric comparison should be false")
 	}
 }

@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"socialscope/internal/persist"
 )
@@ -71,37 +73,48 @@ func binStrings(src []byte) ([]string, int, error) {
 }
 
 func appendAttrs(dst []byte, a Attrs) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(a)))
-	for _, k := range a.Keys() { // sorted: canonical bytes
-		dst = appendString(dst, k)
-		dst = appendStrings(dst, a[k])
+	dst = binary.AppendUvarint(dst, uint64(len(a.kv)))
+	for _, e := range a.kv { // sorted: canonical bytes
+		dst = appendString(dst, e.key)
+		dst = appendStrings(dst, e.values)
 	}
 	return dst
 }
 
 func binAttrs(src []byte) (Attrs, int, error) {
 	count, off, err := binUvarint(src)
-	if err != nil || count > uint64(len(src)) {
-		return nil, 0, ErrBinCorrupt
+	// Each entry takes at least two bytes, which bounds the allocation.
+	if err != nil || count > uint64(len(src)-off)/2 {
+		return Attrs{}, 0, ErrBinCorrupt
 	}
 	if count == 0 {
 		return Attrs{}, off, nil
 	}
-	a := make(Attrs, count)
+	kv := make([]attrEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		k, n, err := binString(src[off:])
 		if err != nil {
-			return nil, 0, err
+			return Attrs{}, 0, err
 		}
 		off += n
 		vs, n, err := binStrings(src[off:])
 		if err != nil {
-			return nil, 0, err
+			return Attrs{}, 0, err
 		}
 		off += n
-		a[k] = vs
+		kv = append(kv, attrEntry{k, vs})
 	}
-	return a, off, nil
+	// appendAttrs writes keys sorted and unique. Other input is put in
+	// key order, and of a repeated key the last entry wins.
+	slices.SortStableFunc(kv, func(x, y attrEntry) int { return strings.Compare(x.key, y.key) })
+	out := kv[:0]
+	for i, e := range kv {
+		if i+1 < len(kv) && kv[i+1].key == e.key {
+			continue
+		}
+		out = append(out, e)
+	}
+	return Attrs{out}, off, nil
 }
 
 func appendScore(dst []byte, score float64, scored bool) []byte {

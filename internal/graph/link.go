@@ -20,10 +20,10 @@ type Link struct {
 	Scored bool
 }
 
-// NewLink constructs a link with the given id, endpoints and types and an
-// empty attribute map.
+// NewLink constructs a link with the given id, endpoints and types and no
+// attributes.
 func NewLink(id LinkID, src, tgt NodeID, types ...string) *Link {
-	return &Link{ID: id, Src: src, Tgt: tgt, Types: append([]string(nil), types...), Attrs: Attrs{}}
+	return &Link{ID: id, Src: src, Tgt: tgt, Types: append([]string(nil), types...)}
 }
 
 // End returns the node id at the given direction, implementing the paper's
@@ -83,9 +83,6 @@ func (l *Link) Merge(other *Link) {
 	for _, t := range other.Types {
 		l.AddType(t)
 	}
-	if l.Attrs == nil {
-		l.Attrs = Attrs{}
-	}
 	l.Attrs.Merge(other.Attrs)
 	if other.Scored && (!l.Scored || other.Score > l.Score) {
 		l.SetScore(other.Score)
@@ -130,7 +127,7 @@ func (l *Link) String() string {
 	sort.Strings(types)
 	s := fmt.Sprintf("l%d(%d->%d){type='%s'", l.ID, l.Src, l.Tgt, strings.Join(types, ","))
 	for _, k := range l.Attrs.Keys() {
-		s += fmt.Sprintf("; %s=%s", k, strings.Join(l.Attrs[k], ","))
+		s += fmt.Sprintf("; %s=%s", k, strings.Join(l.Attrs.All(k), ","))
 	}
 	if l.Scored {
 		s += fmt.Sprintf("; score=%.4g", l.Score)

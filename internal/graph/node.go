@@ -20,10 +20,10 @@ type Node struct {
 	Scored bool
 }
 
-// NewNode constructs a node with the given id and types and an empty
-// attribute map.
+// NewNode constructs a node with the given id and types and no
+// attributes.
 func NewNode(id NodeID, types ...string) *Node {
-	return &Node{ID: id, Types: append([]string(nil), types...), Attrs: Attrs{}}
+	return &Node{ID: id, Types: append([]string(nil), types...)}
 }
 
 // HasType reports whether the node carries the given type value.
@@ -80,9 +80,6 @@ func (n *Node) Merge(other *Node) {
 	for _, t := range other.Types {
 		n.AddType(t)
 	}
-	if n.Attrs == nil {
-		n.Attrs = Attrs{}
-	}
 	n.Attrs.Merge(other.Attrs)
 	if other.Scored && (!n.Scored || other.Score > n.Score) {
 		n.SetScore(other.Score)
@@ -127,7 +124,7 @@ func (n *Node) String() string {
 	sort.Strings(types)
 	s := fmt.Sprintf("{id=%d; type='%s'", n.ID, strings.Join(types, ","))
 	for _, k := range n.Attrs.Keys() {
-		s += fmt.Sprintf("; %s=%s", k, strings.Join(n.Attrs[k], ","))
+		s += fmt.Sprintf("; %s=%s", k, strings.Join(n.Attrs.All(k), ","))
 	}
 	if n.Scored {
 		s += fmt.Sprintf("; score=%.4g", n.Score)

@@ -35,7 +35,7 @@ type attr struct {
 
 type stage struct {
 	name string
-	d    time.Duration
+	d    time.Duration // summed over every run of the stage
 }
 
 // NewSpan starts a span now.
@@ -90,6 +90,9 @@ func (s *Span) SetBool(key string, val bool) { s.set(key, val) }
 // elapsed time when called (typically deferred):
 //
 //	defer sp.Stage("discovery")()
+//
+// Repeated stages of one name add up to one entry, so the annex carries
+// each stage once however often it ran.
 func (s *Span) Stage(name string) func() {
 	if s == nil {
 		return func() {}
@@ -98,8 +101,14 @@ func (s *Span) Stage(name string) func() {
 	return func() {
 		d := time.Since(start)
 		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i := range s.stages {
+			if s.stages[i].name == name {
+				s.stages[i].d += d
+				return
+			}
+		}
 		s.stages = append(s.stages, stage{name, d})
-		s.mu.Unlock()
 	}
 }
 

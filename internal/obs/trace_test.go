@@ -3,9 +3,11 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSpanNilSafe verifies every Span method is a no-op on nil — the
@@ -93,5 +95,62 @@ func TestSpanConcurrent(t *testing.T) {
 	var m map[string]any
 	if err := json.Unmarshal([]byte(sp.Annex()), &m); err != nil {
 		t.Fatalf("post-hammer annex not JSON: %v", err)
+	}
+	annexKeys(t, sp.Annex())
+}
+
+// annexKeys walks an annex token by token — json.Unmarshal into a map
+// would silently keep the last of two equal keys — and fails on a
+// duplicate key. It returns the keys in order.
+func annexKeys(t *testing.T, annex string) []string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(annex))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("annex does not open an object: %v %v", tok, err)
+	}
+	var keys []string
+	seen := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("annex key: %v", err)
+		}
+		k := tok.(string)
+		if seen[k] {
+			t.Fatalf("duplicate key %q in annex %s", k, annex)
+		}
+		seen[k] = true
+		keys = append(keys, k)
+		if _, err := dec.Token(); err != nil {
+			t.Fatalf("annex value of %q: %v", k, err)
+		}
+	}
+	return keys
+}
+
+// TestSpanStageAggregates runs stages repeatedly under one name and checks
+// the annex carries each stage once, as the sum of its runs.
+func TestSpanStageAggregates(t *testing.T) {
+	sp := NewSpan()
+	for i := 0; i < 3; i++ {
+		sp.Stage("discovery")()
+		done := sp.Stage("presentation")
+		time.Sleep(time.Millisecond)
+		done()
+	}
+	keys := annexKeys(t, sp.Annex())
+	want := []string{"discovery_ms", "presentation_ms", "total_ms"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("annex keys %v, want %v", keys, want)
+	}
+	var m map[string]float64
+	if err := json.Unmarshal([]byte(sp.Annex()), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m["presentation_ms"] < 3 {
+		t.Fatalf("presentation_ms = %v, want the sum of three ≥1 ms runs", m["presentation_ms"])
+	}
+	if n := len(sp.SlogAttrs()); n != 3 {
+		t.Fatalf("slog attrs: %d, want 3", n)
 	}
 }

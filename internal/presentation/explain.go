@@ -2,6 +2,7 @@ package presentation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"socialscope/internal/graph"
@@ -30,15 +31,20 @@ type WeightedID struct {
 // count as endorsement strength 1.
 func rating(g *graph.Graph, user, item graph.NodeID) float64 {
 	for _, l := range g.Out(user) {
-		if l.Tgt != item || !l.HasType(graph.TypeAct) {
-			continue
+		if l.Tgt == item && l.HasType(graph.TypeAct) {
+			return linkRating(l)
 		}
-		if v, ok := l.Attrs.Float("rating"); ok {
-			return v
-		}
-		return 1
 	}
 	return 0
+}
+
+// linkRating is an act link's endorsement strength: its rating attribute,
+// or 1 when it carries no numeric rating.
+func linkRating(l *graph.Link) float64 {
+	if v, ok := l.Attrs.Float("rating"); ok {
+		return v
+	}
+	return 1
 }
 
 // itemSim is ItemSim(i, i'): Jaccard over the items' content token sets.
@@ -50,21 +56,6 @@ func itemSim(g *graph.Graph, a, b graph.NodeID) float64 {
 		return 0
 	}
 	return scoring.Jaccard(scoring.TokenSet(na.Attrs.Text()), scoring.TokenSet(nb.Attrs.Text()))
-}
-
-// userSim is UserSim(u, u'): 1 for directly connected users, else Jaccard
-// of their acted-item sets (0 for strangers with no overlap, matching "it
-// is 0 if u and u' are not connected").
-func userSim(g *graph.Graph, a, b graph.NodeID) float64 {
-	for _, l := range g.Incident(a) {
-		if !l.HasType(graph.TypeConnect) {
-			continue
-		}
-		if l.Src == b || l.Tgt == b {
-			return 1
-		}
-	}
-	return scoring.Jaccard(actedItems(g, a), actedItems(g, b))
 }
 
 func actedItems(g *graph.Graph, u graph.NodeID) scoring.Set[graph.NodeID] {
@@ -107,9 +98,41 @@ func ExplainContent(g *graph.Graph, user, item graph.NodeID) Explanation {
 // Expl(u,i) = {u' | UserSim(u,u') > 0 & i ∈ Items(u')}, weighted by
 // UserSim(u,u') × rating(u',i). The aggregate phrasing counts the user's
 // direct connections among the endorsers.
+//
+// It walks only the item's incoming act links, so it costs
+// O(in-degree(item) + Σ out-degree(endorser)) plus the user's own
+// neighbourhood, independent of the graph's size. Explaining several
+// items for one user should share a CFExplainer instead, which pays for
+// the user's neighbourhood and each endorser's similarity once.
 func ExplainCF(g *graph.Graph, user, item graph.NodeID) Explanation {
-	ex := Explanation{Strategy: "cf"}
-	friends := scoring.NewSet[graph.NodeID]()
+	return NewCFExplainer(g, user).Explain(item)
+}
+
+// CFExplainer explains items to one user against one graph snapshot, as
+// ExplainCF does. It builds the user's friend set and acted-item set once
+// and memoizes UserSim(user, endorser) across items, since the similarity
+// does not depend on the item. It is not safe for concurrent use.
+type CFExplainer struct {
+	g       *graph.Graph
+	user    graph.NodeID
+	friends scoring.Set[graph.NodeID]
+	acted   scoring.Set[graph.NodeID]
+	sims    map[graph.NodeID]float64 // UserSim(user, ·); 0 for non-users
+	seen    map[graph.NodeID]bool    // endorsers met for the current item
+	targets []graph.NodeID           // scratch for one endorser's acted items
+}
+
+// NewCFExplainer prepares collaborative-filtering explanations of items
+// for user over g.
+func NewCFExplainer(g *graph.Graph, user graph.NodeID) *CFExplainer {
+	x := &CFExplainer{
+		g:       g,
+		user:    user,
+		friends: scoring.NewSet[graph.NodeID](),
+		acted:   actedItems(g, user),
+		sims:    map[graph.NodeID]float64{},
+		seen:    map[graph.NodeID]bool{},
+	}
 	for _, l := range g.Incident(user) {
 		if !l.HasType(graph.TypeConnect) {
 			continue
@@ -118,28 +141,35 @@ func ExplainCF(g *graph.Graph, user, item graph.NodeID) Explanation {
 		if other == user {
 			other = l.Src
 		}
-		friends.Add(other)
+		x.friends.Add(other)
 	}
+	return x
+}
+
+// Explain returns Expl(user, item). Each endorser's rating comes from its
+// first act link onto the item in link-id order.
+func (x *CFExplainer) Explain(item graph.NodeID) Explanation {
+	ex := Explanation{Strategy: "cf"}
+	clear(x.seen)
 	endorsingFriends := 0
-	for _, other := range sortedUsers(g) {
-		if other == user {
+	for _, l := range x.g.In(item) {
+		other := l.Src
+		if other == x.user || !l.HasType(graph.TypeAct) || x.seen[other] {
 			continue
 		}
-		if !actedItems(g, other).Has(item) {
-			continue
-		}
-		sim := userSim(g, user, other)
+		x.seen[other] = true
+		sim := x.userSim(other)
 		if sim <= 0 {
 			continue
 		}
-		ex.Users = append(ex.Users, WeightedID{other, sim * rating(g, other, item)})
-		if friends.Has(other) {
+		ex.Users = append(ex.Users, WeightedID{other, sim * linkRating(l)})
+		if x.friends.Has(other) {
 			endorsingFriends++
 		}
 	}
 	sortWeighted(ex.Users)
-	if friends.Len() > 0 {
-		pct := 100 * endorsingFriends / friends.Len()
+	if x.friends.Len() > 0 {
+		pct := 100 * endorsingFriends / x.friends.Len()
 		ex.Summary = fmt.Sprintf("%d%% of your friends endorsed this item", pct)
 	} else if len(ex.Users) > 0 {
 		ex.Summary = fmt.Sprintf("%d similar users endorsed this item", len(ex.Users))
@@ -149,6 +179,55 @@ func ExplainCF(g *graph.Graph, user, item graph.NodeID) Explanation {
 	return ex
 }
 
+// userSim is UserSim(user, other), memoized: 0 when other is not a user
+// node, 1 for a direct connection, else the Jaccard of the two users'
+// acted-item sets (0 for strangers with no overlap, matching "it is 0 if
+// u and u' are not connected").
+func (x *CFExplainer) userSim(other graph.NodeID) float64 {
+	if sim, ok := x.sims[other]; ok {
+		return sim
+	}
+	var sim float64
+	switch n := x.g.Node(other); {
+	case n == nil || !n.HasType(graph.TypeUser):
+	case x.friends.Has(other):
+		sim = 1
+	default:
+		sim = x.jaccard(other)
+	}
+	x.sims[other] = sim
+	return sim
+}
+
+// jaccard is |A∩B| / |A∪B| over the user's and other's acted-item sets,
+// counting other's distinct act targets in a reused sorted scratch slice
+// rather than building a set per endorser.
+func (x *CFExplainer) jaccard(other graph.NodeID) float64 {
+	ts := x.targets[:0]
+	for _, l := range x.g.Out(other) {
+		if l.HasType(graph.TypeAct) {
+			ts = append(ts, l.Tgt)
+		}
+	}
+	slices.Sort(ts)
+	x.targets = ts
+	distinct, inter := 0, 0
+	for i, t := range ts {
+		if i > 0 && t == ts[i-1] {
+			continue
+		}
+		distinct++
+		if x.acted.Has(t) {
+			inter++
+		}
+	}
+	union := x.acted.Len() + distinct - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
 // ExplainGroup aggregates item explanations into a group-level explanation
 // (Section 7.2's Expl(u, g)): the union of the member explanations'
 // users/items with summed weights, summarized concisely.
@@ -156,12 +235,16 @@ func ExplainGroup(g *graph.Graph, user graph.NodeID, group Group, strategy strin
 	agg := Explanation{Strategy: strategy}
 	userW := map[graph.NodeID]float64{}
 	itemW := map[graph.NodeID]float64{}
+	var cf *CFExplainer
+	if strategy != "content" {
+		cf = NewCFExplainer(g, user)
+	}
 	for _, it := range group.Items {
 		var ex Explanation
-		if strategy == "content" {
+		if cf == nil {
 			ex = ExplainContent(g, user, it)
 		} else {
-			ex = ExplainCF(g, user, it)
+			ex = cf.Explain(it)
 		}
 		for _, w := range ex.Users {
 			userW[w.ID] += w.Weight
@@ -196,13 +279,4 @@ func sortWeighted(ws []WeightedID) {
 		}
 		return ws[i].ID < ws[j].ID
 	})
-}
-
-func sortedUsers(g *graph.Graph) []graph.NodeID {
-	users := g.NodesOfType(graph.TypeUser)
-	out := make([]graph.NodeID, len(users))
-	for i, u := range users {
-		out[i] = u.ID
-	}
-	return out
 }

@@ -74,11 +74,11 @@ func (w LinkWire) link() *graph.Link {
 
 // NodeToWire and LinkToWire convert graph elements for transmission.
 func NodeToWire(n *graph.Node) NodeWire {
-	return NodeWire{ID: n.ID, Types: n.Types, Attrs: n.Attrs}
+	return NodeWire{ID: n.ID, Types: n.Types, Attrs: n.Attrs.Map()}
 }
 
 func LinkToWire(l *graph.Link) LinkWire {
-	return LinkWire{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs}
+	return LinkWire{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs.Map()}
 }
 
 // MutationToWire converts a changelog entry for transmission.

@@ -165,9 +165,7 @@ func apply(g *graph.Graph, rec record) error {
 			return fmt.Errorf("putnode without node")
 		}
 		n := graph.NewNode(rec.Node.ID, rec.Node.Types...)
-		if rec.Node.Attrs != nil {
-			n.Attrs = graph.Attrs(rec.Node.Attrs)
-		}
+		n.Attrs = graph.AttrsFromMap(rec.Node.Attrs)
 		g.PutNode(n)
 		return nil
 	case "putlink":
@@ -175,9 +173,7 @@ func apply(g *graph.Graph, rec record) error {
 			return fmt.Errorf("putlink without link")
 		}
 		l := graph.NewLink(rec.Link.ID, rec.Link.Src, rec.Link.Tgt, rec.Link.Types...)
-		if rec.Link.Attrs != nil {
-			l.Attrs = graph.Attrs(rec.Link.Attrs)
-		}
+		l.Attrs = graph.AttrsFromMap(rec.Link.Attrs)
 		return g.PutLink(l)
 	case "delnode":
 		g.RemoveNode(graph.NodeID(rec.ID))
@@ -225,7 +221,7 @@ func (s *Store) PutNode(n *graph.Node) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(record{Op: "putnode", Node: &nodeJSON{ID: n.ID, Types: n.Types, Attrs: n.Attrs}})
+	return s.append(record{Op: "putnode", Node: &nodeJSON{ID: n.ID, Types: n.Types, Attrs: n.Attrs.Map()}})
 }
 
 // PutLink durably inserts or consolidates a link; endpoints must exist.
@@ -239,7 +235,7 @@ func (s *Store) PutLink(l *graph.Link) error {
 		return fmt.Errorf("%w: link %d (%d->%d)", graph.ErrMissingEnd, l.ID, l.Src, l.Tgt)
 	}
 	return s.append(record{Op: "putlink", Link: &linkJSON{
-		ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs,
+		ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs.Map(),
 	}})
 }
 

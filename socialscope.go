@@ -678,40 +678,12 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 		return nil, err
 	}
 	sp := obs.SpanFrom(ctx)
-	st := e.state.Load()
-	var msg *discovery.MSG
-	var err error
-	var evalStats *SearchStats
 	discoverDone := sp.Stage("discovery")
-	if e.cfg.TopK != TopKOff && len(q.Keywords) > 0 && len(q.Structural) == 0 {
-		st, err = e.ensureProcessor()
-		if err != nil {
-			return nil, err
-		}
-		var ts topk.Stats
-		msg, ts, err = st.disc.DiscoverTaggedCtx(ctx, user, q, st.proc, e.cfg.TopK.internal())
-		if err != nil {
-			return nil, err
-		}
-		evalStats = &SearchStats{
-			Strategy:        e.cfg.TopK,
-			PostingsScanned: ts.PostingsScanned,
-			ExactScores:     ts.ExactScores,
-			Candidates:      ts.Candidates,
-			EarlyTerminated: ts.EarlyTerminated,
-			SnapshotVersion: ts.SnapshotVersion,
-		}
-		e.statsMu.Lock()
-		e.stats = *evalStats
-		e.hasStats = true
-		e.statsMu.Unlock()
-	} else {
-		msg, err = st.disc.Discover(user, q)
-	}
+	st, msg, evalStats, err := e.discover(ctx, user, q)
+	discoverDone()
 	if err != nil {
 		return nil, err
 	}
-	discoverDone()
 	e.recordQuery(sp, evalStats, st.version)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -741,11 +713,12 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 		return nil, err
 	}
 	resp.Presentation = pres
+	cf := presentation.NewCFExplainer(g, user)
 	for _, it := range items {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp.Explanations[it] = presentation.ExplainCF(g, user, it)
+		resp.Explanations[it] = cf.Explain(it)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -753,6 +726,40 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 	resp.Related = discovery.RelatedEntities(g, msg, 2, 5)
 	presentDone()
 	return resp, nil
+}
+
+// discover runs the discovery layer on one state snapshot: keyword-only
+// queries go through the activity index when Config.TopK selects a
+// strategy (returning its work report), everything else through the
+// fusion path. It returns the snapshot it read, which the rest of the
+// evaluation must read too.
+func (e *Engine) discover(ctx context.Context, user NodeID, q discovery.Query) (*engineState, *discovery.MSG, *SearchStats, error) {
+	st := e.state.Load()
+	if e.cfg.TopK == TopKOff || len(q.Keywords) == 0 || len(q.Structural) > 0 {
+		msg, err := st.disc.Discover(user, q)
+		return st, msg, nil, err
+	}
+	st, err := e.ensureProcessor()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	msg, ts, err := st.disc.DiscoverTaggedCtx(ctx, user, q, st.proc, e.cfg.TopK.internal())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	evalStats := &SearchStats{
+		Strategy:        e.cfg.TopK,
+		PostingsScanned: ts.PostingsScanned,
+		ExactScores:     ts.ExactScores,
+		Candidates:      ts.Candidates,
+		EarlyTerminated: ts.EarlyTerminated,
+		SnapshotVersion: ts.SnapshotVersion,
+	}
+	e.statsMu.Lock()
+	e.stats = *evalStats
+	e.hasStats = true
+	e.statsMu.Unlock()
+	return st, msg, evalStats, nil
 }
 
 // Recommend runs pure collaborative filtering (Example 5) for the user.

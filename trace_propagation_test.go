@@ -139,3 +139,28 @@ func TestTraceAbsentIsFree(t *testing.T) {
 		t.Fatal("phantom annex")
 	}
 }
+
+// TestTraceDiscoveryStageOnError checks a failed discovery still times
+// its stage: an unknown user fails on both the index and the fusion path.
+func TestTraceDiscoveryStageOnError(t *testing.T) {
+	corpus := topkCorpus(t)
+	eng, err := New(corpus.Graph, Config{
+		ItemType: "destination", TopK: TopKTA, Obs: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{workload.Categories[0], ""} {
+		sp := obs.NewSpan()
+		if _, err := eng.SearchCtx(obs.WithSpan(context.Background(), sp), corpus.Graph.MaxNodeID()+1, q); err == nil {
+			t.Fatalf("query %q for an unknown user succeeded", q)
+		}
+		var m map[string]any
+		if err := json.Unmarshal([]byte(sp.Annex()), &m); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m["discovery_ms"]; !ok {
+			t.Errorf("query %q: failed discovery left no stage time in %s", q, sp.Annex())
+		}
+	}
+}
