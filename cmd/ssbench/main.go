@@ -660,7 +660,7 @@ func runLiveUpdate(scale int, seed int64) error {
 	benchMetric("maintenance_speedup", rebUpd.Seconds()/incUpd.Seconds())
 	fmt.Printf("\nmaintenance speedup: %.1f× (wall %.1f×; snapshot version %d, %d entries",
 		rebUpd.Seconds()/incUpd.Seconds(),
-		(rebUpd + rebQ).Seconds()/(incUpd + incQ).Seconds(),
+		(rebUpd+rebQ).Seconds()/(incUpd+incQ).Seconds(),
 		ix.Version(), ix.EntryCount())
 	fmt.Printf("; final indexes identical: %v)\n", sameLists(ix, ixR))
 
@@ -677,21 +677,25 @@ func runLiveUpdate(scale int, seed int64) error {
 	}
 	const batch = 10
 	start := time.Now()
+	var lastSnapshot uint64 // snapshot version the last query read
 	for i := 0; i < len(muts); i += batch {
 		end := min(i+batch, len(muts))
 		if err := eng.Apply(muts[i:end]); err != nil {
 			return err
 		}
-		if _, err := eng.Search(corpus.Users[i%len(corpus.Users)], workload.Categories[0]); err != nil {
+		resp, err := eng.Search(corpus.Users[i%len(corpus.Users)], workload.Categories[0])
+		if err != nil {
 			return err
+		}
+		if resp.Stats != nil {
+			lastSnapshot = resp.Stats.SnapshotVersion
 		}
 	}
 	engTime := time.Since(start)
 	benchMetric("engine_apply_total_ms", float64(engTime.Milliseconds()))
-	stats, _ := eng.LastSearchStats()
 	fmt.Printf("engine: %d mutations in batches of %d via Engine.Apply in %v "+
 		"(version %d, last query read snapshot %d)\n",
-		len(muts), batch, engTime, eng.Version(), stats.SnapshotVersion)
+		len(muts), batch, engTime, eng.Version(), lastSnapshot)
 
 	return runSnapshotScaling(scale, seed)
 }

@@ -59,8 +59,8 @@ func TestFacadeContextVariants(t *testing.T) {
 	if ctxed.Stats == nil {
 		t.Fatal("index-backed response carries no per-evaluation stats")
 	}
-	if ls, ok := eng.LastSearchStats(); !ok || ls.SnapshotVersion != ctxed.Stats.SnapshotVersion {
-		t.Fatalf("LastSearchStats (%+v, %v) disagrees with response stats %+v", ls, ok, ctxed.Stats)
+	if plain.Stats == nil || plain.Stats.SnapshotVersion != ctxed.Stats.SnapshotVersion {
+		t.Fatalf("plain response stats %+v disagree with ctx response stats %+v", plain.Stats, ctxed.Stats)
 	}
 }
 

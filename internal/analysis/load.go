@@ -16,9 +16,11 @@ import (
 // paths are derived from the module clause, so scope-gated analyzers
 // see the same identities ("socialscope/internal/wal") the compiler
 // does. Skipped: hidden directories, testdata trees (analyzer golden
-// files are deliberately full of violations), and _test.go files (test
-// code is itself harness code — it exercises the raw filesystem and
-// the fault injector on purpose).
+// files are deliberately full of violations), directories below root
+// with a go.mod of their own (nested modules, which the go tool's
+// "./..." excludes too), and _test.go files (test code is itself
+// harness code — it exercises the raw filesystem and the fault injector
+// on purpose).
 func LoadModule(root string) ([]*Package, error) {
 	module, err := moduleName(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -35,6 +37,11 @@ func LoadModule(root string) ([]*Package, error) {
 		name := d.Name()
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		rel, err := filepath.Rel(root, path)
 		if err != nil {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"socialscope/internal/persist"
@@ -168,6 +167,9 @@ func DecodeNodeBin(src []byte) (*Node, int, error) {
 		return nil, 0, err
 	}
 	off += n
+	if t := sharedTypes(types); t != nil {
+		types = t
+	}
 	return &Node{ID: NodeID(id), Types: types, Attrs: attrs, Score: score, Scored: scored}, off, nil
 }
 
@@ -213,6 +215,9 @@ func DecodeLinkBin(src []byte) (*Link, int, error) {
 		return nil, 0, err
 	}
 	off += n
+	if t := sharedTypes(types); t != nil {
+		types = t
+	}
 	return &Link{
 		ID: LinkID(id), Src: NodeID(srcID), Tgt: NodeID(tgtID),
 		Types: types, Attrs: attrs, Score: score, Scored: scored,
@@ -458,17 +463,5 @@ func (g *Graph) rebuildAdjacency() {
 		ls = append(ls, l)
 		return true
 	})
-	sort.Slice(ls, func(i, j int) bool { return ls[i].ID < ls[j].ID })
-	out := make(map[NodeID][]LinkID)
-	in := make(map[NodeID][]LinkID)
-	for _, l := range ls {
-		out[l.Src] = append(out[l.Src], l.ID)
-		in[l.Tgt] = append(in[l.Tgt], l.ID)
-	}
-	for id, ids := range out {
-		g.out = g.out.SetWith(g.bulk, id, ids)
-	}
-	for id, ids := range in {
-		g.in = g.in.SetWith(g.bulk, id, ids)
-	}
+	g.setAdjacency(ls)
 }

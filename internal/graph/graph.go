@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"socialscope/internal/persist"
@@ -23,21 +25,21 @@ var (
 // paper's sense — nodes with no links — which node selection produces.
 //
 // Storage is persistent (structurally shared): the node, link and adjacency
-// maps are copy-on-write tries, and adjacency lists are immutable slices
-// ordered by ascending link id. Every write operation rebinds the Graph's
-// own map headers and never modifies a trie node or slice another Graph can
-// reach, which makes ShallowClone an O(1) snapshot: a clone and its origin
-// share all storage, and either side can keep mutating without the other
-// observing a thing — the RCU discipline the live engine's Apply/Search
-// concurrency is built on.
+// maps are copy-on-write tries, and adjacency lists are immutable slices of
+// the snapshot's own *Link values, ordered by ascending link id, with
+// len == cap. Every write operation rebinds the Graph's own map headers and
+// never modifies a trie node or slice another Graph can reach, which makes
+// ShallowClone an O(1) snapshot: a clone and its origin share all storage,
+// and either side can keep mutating without the other observing a thing —
+// the RCU discipline the live engine's Apply/Search concurrency is built on.
 //
 // Graphs are not safe for concurrent mutation; concurrent reads — including
 // reads of an earlier ShallowClone while a successor mutates — are safe.
 type Graph struct {
 	nodes persist.Map[NodeID, *Node]
 	links persist.Map[LinkID, *Link]
-	out   persist.Map[NodeID, []LinkID]
-	in    persist.Map[NodeID, []LinkID]
+	out   persist.Map[NodeID, []*Link]
+	in    persist.Map[NodeID, []*Link]
 	// maxNode and maxLink are monotonic high-water marks over every id the
 	// graph has ever held. They survive clones and removals, so IDSource
 	// allocation never reuses a retracted id (which would alias unrelated
@@ -55,6 +57,12 @@ type Graph struct {
 	// with any earlier snapshot are copied on first touch — and taking a
 	// snapshot (ShallowClone, Clone) seals the window first.
 	bulk *persist.Edit
+	// ownOut and ownIn hold the nodes whose out and in lists the open bulk
+	// window allocated. The window may insert into those lists in place;
+	// EndBulk copies any of them with spare capacity to exact size, so no
+	// published list has spare capacity and a caller's append never writes
+	// into a shared array.
+	ownOut, ownIn map[NodeID]struct{}
 }
 
 // New returns an empty graph.
@@ -62,8 +70,8 @@ func New() *Graph {
 	return &Graph{
 		nodes: persist.NewIntMap[NodeID, *Node](),
 		links: persist.NewIntMap[LinkID, *Link](),
-		out:   persist.NewIntMap[NodeID, []LinkID](),
-		in:    persist.NewIntMap[NodeID, []LinkID](),
+		out:   persist.NewIntMap[NodeID, []*Link](),
+		in:    persist.NewIntMap[NodeID, []*Link](),
 	}
 }
 
@@ -81,9 +89,17 @@ func New() *Graph {
 // readers until the window closes (EndBulk, or implicitly by taking a
 // ShallowClone/Clone snapshot, which seals first). Idempotent: an
 // already-open window is kept.
+//
+// Adjacency lists follow an ownership rule. The first time a window
+// inserts into a node's list it makes one exact-size copy, as outside a
+// window, and the window then owns that copy: later inserts into the same
+// list grow it in place. Mid-window, a slice Out or In returned earlier
+// may therefore change on the next write; once the window closes, every
+// list is immutable again.
 func (g *Graph) BeginBulk() {
 	if g.bulk == nil {
 		g.bulk = persist.NewEdit()
+		g.ownOut, g.ownIn = make(map[NodeID]struct{}), make(map[NodeID]struct{})
 	}
 }
 
@@ -98,8 +114,21 @@ func (g *Graph) BeginBulk() {
 // closing store is race-free by contract.
 func (g *Graph) EndBulk() {
 	if g.bulk != nil {
-		g.bulk = nil
+		g.out = g.sealOwned(g.out, g.ownOut)
+		g.in = g.sealOwned(g.in, g.ownIn)
+		g.bulk, g.ownOut, g.ownIn = nil, nil, nil
 	}
+}
+
+// sealOwned copies every window-owned list of m that has spare capacity
+// to exact size.
+func (g *Graph) sealOwned(m persist.Map[NodeID, []*Link], own map[NodeID]struct{}) persist.Map[NodeID, []*Link] {
+	for id := range own {
+		if ls := m.At(id); cap(ls) > len(ls) {
+			m = m.SetWith(g.bulk, id, append(make([]*Link, 0, len(ls)), ls...))
+		}
+	}
+	return m
 }
 
 // NumNodes returns the number of nodes.
@@ -189,18 +218,78 @@ func (g *Graph) AddLink(l *Link) error {
 		return fmt.Errorf("%w: tgt %d of link %d", ErrMissingEnd, l.Tgt, l.ID)
 	}
 	g.links = g.links.SetWith(g.bulk, l.ID, l)
-	g.out = g.out.SetWith(g.bulk, l.Src, persist.InsertSorted(g.out.At(l.Src), l.ID))
-	g.in = g.in.SetWith(g.bulk, l.Tgt, persist.InsertSorted(g.in.At(l.Tgt), l.ID))
+	g.out = g.insertAdj(g.out, g.ownOut, l.Src, l)
+	g.in = g.insertAdj(g.in, g.ownIn, l.Tgt, l)
 	g.noteLinkID(l.ID)
 	g.emitLink(MutAddLink, l)
 	return nil
 }
 
+// linkIndex returns the position of id in an ascending list, or the
+// position where it would be inserted, and whether it is present.
+func linkIndex(ls []*Link, id LinkID) (int, bool) {
+	if n := len(ls); n == 0 || ls[n-1].ID < id {
+		return n, false // the common case: ids arrive in ascending order
+	}
+	return slices.BinarySearchFunc(ls, id, func(l *Link, id LinkID) int { return cmp.Compare(l.ID, id) })
+}
+
+// insertAdj returns m with l inserted into node id's list. Outside a bulk
+// window, and on a window's first touch of the list, it builds a fresh
+// exact-size slice; a list the window already owns grows in place.
+func (g *Graph) insertAdj(m persist.Map[NodeID, []*Link], own map[NodeID]struct{}, id NodeID, l *Link) persist.Map[NodeID, []*Link] {
+	ls := m.At(id)
+	i, _ := linkIndex(ls, l.ID)
+	if g.bulk != nil {
+		if _, ok := own[id]; ok {
+			return m.SetWith(g.bulk, id, slices.Insert(ls, i, l))
+		}
+		own[id] = struct{}{}
+	}
+	fresh := make([]*Link, len(ls)+1)
+	copy(fresh, ls[:i])
+	fresh[i] = l
+	copy(fresh[i+1:], ls[i:])
+	return m.SetWith(g.bulk, id, fresh)
+}
+
+// removeAdj returns m with link lid dropped from node id's list, as a
+// fresh exact-size slice, and the key dropped once the list drains so
+// empty slices never accumulate. It never writes the old slice, so a
+// caller may keep ranging over it.
+func (g *Graph) removeAdj(m persist.Map[NodeID, []*Link], id NodeID, lid LinkID) persist.Map[NodeID, []*Link] {
+	ls := m.At(id)
+	i, ok := linkIndex(ls, lid)
+	switch {
+	case !ok:
+		return m
+	case len(ls) == 1:
+		return m.DeleteWith(g.bulk, id)
+	}
+	fresh := make([]*Link, 0, len(ls)-1)
+	fresh = append(append(fresh, ls[:i]...), ls[i+1:]...)
+	return m.SetWith(g.bulk, id, fresh)
+}
+
+// replaceAdj returns m with l swapped in for the link of the same id in
+// node id's list, in a fresh exact-size copy.
+func (g *Graph) replaceAdj(m persist.Map[NodeID, []*Link], id NodeID, l *Link) persist.Map[NodeID, []*Link] {
+	ls := m.At(id)
+	i, ok := linkIndex(ls, l.ID)
+	if !ok {
+		return m
+	}
+	fresh := append(make([]*Link, 0, len(ls)), ls...)
+	fresh[i] = l
+	return m.SetWith(g.bulk, id, fresh)
+}
+
 // PutLink inserts the link, consolidating with any existing link of the same
 // id. Consolidation with different endpoints is an error. Missing endpoint
 // nodes are an error, as with AddLink. Like PutNode, the resident link
-// value is never modified — the merge is clone-and-swap — so snapshots
-// keep their view.
+// value is never modified — the merge is clone-and-swap, and the merged
+// link replaces the old one in both endpoint lists — so snapshots keep
+// their view.
 func (g *Graph) PutLink(l *Link) error {
 	if l == nil {
 		return ErrNilElement
@@ -212,6 +301,8 @@ func (g *Graph) PutLink(l *Link) error {
 		merged := ex.Clone()
 		merged.Merge(l)
 		g.links = g.links.SetWith(g.bulk, l.ID, merged)
+		g.out = g.replaceAdj(g.out, l.Src, merged)
+		g.in = g.replaceAdj(g.in, l.Tgt, merged)
 		if g.recorder != nil {
 			g.recorder(Mutation{Kind: MutPutLink, Link: merged.Clone(), Prev: ex.Clone()})
 		}
@@ -228,19 +319,9 @@ func (g *Graph) RemoveLink(id LinkID) {
 		return
 	}
 	g.links = g.links.DeleteWith(g.bulk, id)
-	g.setAdjacency(&g.out, l.Src, persist.RemoveSorted(g.out.At(l.Src), id))
-	g.setAdjacency(&g.in, l.Tgt, persist.RemoveSorted(g.in.At(l.Tgt), id))
+	g.out = g.removeAdj(g.out, l.Src, id)
+	g.in = g.removeAdj(g.in, l.Tgt, id)
 	g.emitLink(MutRemoveLink, l)
-}
-
-// setAdjacency rebinds one adjacency entry, dropping the key once its list
-// drains so empty slices never accumulate.
-func (g *Graph) setAdjacency(m *persist.Map[NodeID, []LinkID], id NodeID, ids []LinkID) {
-	if len(ids) == 0 {
-		*m = m.DeleteWith(g.bulk, id)
-		return
-	}
-	*m = m.SetWith(g.bulk, id, ids)
 }
 
 // RemoveNode deletes a node and every link incident on it.
@@ -249,8 +330,14 @@ func (g *Graph) RemoveNode(id NodeID) {
 	if !ok {
 		return
 	}
-	for _, lid := range append(append([]LinkID(nil), g.out.At(id)...), g.in.At(id)...) {
-		g.RemoveLink(lid)
+	// RemoveLink never writes a list in place, so ranging over the lists
+	// read here is safe while it replaces them. A self-loop sits in both
+	// lists; its second removal is a no-op.
+	for _, l := range g.out.At(id) {
+		g.RemoveLink(l.ID)
+	}
+	for _, l := range g.in.At(id) {
+		g.RemoveLink(l.ID)
 	}
 	g.nodes = g.nodes.DeleteWith(g.bulk, id)
 	g.out = g.out.DeleteWith(g.bulk, id)
@@ -301,27 +388,35 @@ func (g *Graph) Links() []*Link {
 }
 
 // Out returns the links whose source is the given node, ordered by id.
-// The elements alias the published snapshot.
+// It is O(1) and allocates nothing: the result is the snapshot's own
+// stored slice, not a copy, and its elements are the snapshot's own links.
+// It has len == cap, so a caller's append copies instead of writing into
+// the shared array.
 //
-//ss:immutable — Clone elements before mutating them.
+//ss:immutable — Clone elements before mutating them; never write the slice.
 func (g *Graph) Out(id NodeID) []*Link {
-	return g.linkSlice(g.out.At(id))
+	ls := g.out.At(id)
+	return ls[:len(ls):len(ls)]
 }
 
 // In returns the links whose target is the given node, ordered by id.
-// The elements alias the published snapshot.
+// Like Out, it is O(1), allocates nothing and returns the snapshot's own
+// stored slice, with len == cap.
 //
-//ss:immutable — Clone elements before mutating them.
+//ss:immutable — Clone elements before mutating them; never write the slice.
 func (g *Graph) In(id NodeID) []*Link {
-	return g.linkSlice(g.in.At(id))
+	ls := g.in.At(id)
+	return ls[:len(ls):len(ls)]
 }
 
 // Incident returns all links touching the node (out then in), ordered by id
-// within each direction. The elements alias the published snapshot.
+// within each direction. The slice is fresh, sized exactly; the elements
+// are the snapshot's own links.
 //
 //ss:immutable — Clone elements before mutating them.
 func (g *Graph) Incident(id NodeID) []*Link {
-	return append(g.Out(id), g.In(id)...)
+	out, in := g.out.At(id), g.in.At(id)
+	return append(append(make([]*Link, 0, len(out)+len(in)), out...), in...)
 }
 
 // OutDegree returns the number of outgoing links of the node.
@@ -330,25 +425,15 @@ func (g *Graph) OutDegree(id NodeID) int { return len(g.out.At(id)) }
 // InDegree returns the number of incoming links of the node.
 func (g *Graph) InDegree(id NodeID) int { return len(g.in.At(id)) }
 
-// linkSlice resolves stored adjacency ids — already sorted ascending — to
-// link values.
-func (g *Graph) linkSlice(ids []LinkID) []*Link {
-	ls := make([]*Link, len(ids))
-	for i, id := range ids {
-		ls[i] = g.links.At(id)
-	}
-	return ls
-}
-
 // Neighbors returns the distinct node ids adjacent to the node (either
 // direction), in ascending order.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
 	seen := make(map[NodeID]struct{})
-	for _, lid := range g.out.At(id) {
-		seen[g.links.At(lid).Tgt] = struct{}{}
+	for _, l := range g.out.At(id) {
+		seen[l.Tgt] = struct{}{}
 	}
-	for _, lid := range g.in.At(id) {
-		seen[g.links.At(lid).Src] = struct{}{}
+	for _, l := range g.in.At(id) {
+		seen[l.Src] = struct{}{}
 	}
 	delete(seen, id)
 	ids := make([]NodeID, 0, len(seen))
@@ -359,12 +444,12 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	return ids
 }
 
-// Clone returns a deep copy of the graph: node and link values are cloned;
-// the adjacency indexes — pure structure — stay structurally shared, which
-// is safe because adjacency slices are never mutated in place. The value
-// rewrite runs in a bulk window: the clone's node and link tries are
-// rebuilt with transient in-place writes (one claim per trie node instead
-// of one path copy per element), sealed before the clone is returned.
+// Clone returns a deep copy of the graph: node and link values are cloned,
+// and the adjacency lists are rebuilt over the cloned links, so a caller
+// that changes a cloned link reads the change back through Out and In. The
+// rewrite runs in a bulk window: the clone's tries are rebuilt with
+// transient in-place writes (one claim per trie node instead of one path
+// copy per element), sealed before the clone is returned.
 func (g *Graph) Clone() *Graph {
 	c := g.ShallowClone()
 	c.BeginBulk()
@@ -372,10 +457,14 @@ func (g *Graph) Clone() *Graph {
 		c.nodes = c.nodes.SetWith(c.bulk, id, n.Clone())
 		return true
 	})
+	ls := make([]*Link, 0, g.links.Len())
 	g.links.Range(func(id LinkID, l *Link) bool {
-		c.links = c.links.SetWith(c.bulk, id, l.Clone())
+		cl := l.Clone()
+		c.links = c.links.SetWith(c.bulk, id, cl)
+		ls = append(ls, cl)
 		return true
 	})
+	c.setAdjacency(ls) // every list in c.out and c.in is replaced
 	c.EndBulk()
 	return c
 }
@@ -453,26 +542,42 @@ func (g *Graph) InducedByLinks(ids map[LinkID]struct{}) *Graph {
 }
 
 // addInducedLinks installs pre-screened links (endpoints already present)
-// in bulk: links are sorted by id once and adjacency lists assembled in a
-// single pass, so construction is O(L log L) instead of per-insert slice
-// copying, and the resulting adjacency order is the same deterministic
-// ascending-id order every Graph maintains.
+// in bulk, with the adjacency lists assembled by one sort per direction
+// (O(L log L)) instead of per-insert slice copying.
 func (g *Graph) addInducedLinks(ls []*Link) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].ID < ls[j].ID })
-	out := make(map[NodeID][]LinkID)
-	in := make(map[NodeID][]LinkID)
 	for _, l := range ls {
 		g.links = g.links.SetWith(g.bulk, l.ID, l)
-		out[l.Src] = append(out[l.Src], l.ID)
-		in[l.Tgt] = append(in[l.Tgt], l.ID)
 		g.noteLinkID(l.ID)
 	}
-	for id, ids := range out {
-		g.out = g.out.SetWith(g.bulk, id, ids)
+	g.setAdjacency(ls)
+}
+
+// setAdjacency installs the out and in lists of the links ls, which must
+// be g's own link values, replacing any lists of their endpoints. Each
+// list is an exact-size slice in the ascending-id order every Graph
+// maintains.
+func (g *Graph) setAdjacency(ls []*Link) {
+	g.out = g.groupAdj(g.out, ls, func(l *Link) NodeID { return l.Src })
+	g.in = g.groupAdj(g.in, ls, func(l *Link) NodeID { return l.Tgt })
+}
+
+func (g *Graph) groupAdj(m persist.Map[NodeID, []*Link], ls []*Link, end func(*Link) NodeID) persist.Map[NodeID, []*Link] {
+	byEnd := slices.Clone(ls)
+	slices.SortFunc(byEnd, func(a, b *Link) int {
+		if c := cmp.Compare(end(a), end(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	for i := 0; i < len(byEnd); {
+		j := i + 1
+		for j < len(byEnd) && end(byEnd[j]) == end(byEnd[i]) {
+			j++
+		}
+		m = m.SetWith(g.bulk, end(byEnd[i]), append(make([]*Link, 0, j-i), byEnd[i:j]...))
+		i = j
 	}
-	for id, ids := range in {
-		g.in = g.in.SetWith(g.bulk, id, ids)
-	}
+	return m
 }
 
 // Equal reports whether two graphs contain equal node and link sets.
@@ -505,9 +610,10 @@ func (g *Graph) MaxNodeID() NodeID { return g.maxNode }
 func (g *Graph) MaxLinkID() LinkID { return g.maxLink }
 
 // Validate checks internal consistency: every link's endpoints exist, the
-// adjacency indexes agree with the link set and keep ascending id order,
-// and the id high-water marks bound every present id. It returns the first
-// violation.
+// adjacency indexes hold the link map's own values, agree with the link
+// set, keep ascending id order and, outside a bulk window, have no spare
+// capacity, and the id high-water marks bound every present id. It returns
+// the first violation.
 func (g *Graph) Validate() error {
 	var err error
 	g.links.Range(func(id LinkID, l *Link) bool {
@@ -524,40 +630,11 @@ func (g *Graph) Validate() error {
 	if err != nil {
 		return err
 	}
-	outCount, inCount := 0, 0
-	g.out.Range(func(src NodeID, lids []LinkID) bool {
-		for i, lid := range lids {
-			l, ok := g.links.Get(lid)
-			if !ok || l.Src != src {
-				err = fmt.Errorf("graph: out index for node %d lists stale link %d", src, lid)
-				return false
-			}
-			if i > 0 && lids[i-1] >= lid {
-				err = fmt.Errorf("graph: out index for node %d not in ascending order", src)
-				return false
-			}
-			outCount++
-		}
-		return true
-	})
+	outCount, err := g.validateAdj("out", g.out, func(l *Link) NodeID { return l.Src })
 	if err != nil {
 		return err
 	}
-	g.in.Range(func(tgt NodeID, lids []LinkID) bool {
-		for i, lid := range lids {
-			l, ok := g.links.Get(lid)
-			if !ok || l.Tgt != tgt {
-				err = fmt.Errorf("graph: in index for node %d lists stale link %d", tgt, lid)
-				return false
-			}
-			if i > 0 && lids[i-1] >= lid {
-				err = fmt.Errorf("graph: in index for node %d not in ascending order", tgt)
-				return false
-			}
-			inCount++
-		}
-		return true
-	})
+	inCount, err := g.validateAdj("in", g.in, func(l *Link) NodeID { return l.Tgt })
 	if err != nil {
 		return err
 	}
@@ -575,6 +652,32 @@ func (g *Graph) Validate() error {
 		return err == nil
 	})
 	return err
+}
+
+// validateAdj checks one adjacency index and returns how many links it
+// lists.
+func (g *Graph) validateAdj(name string, m persist.Map[NodeID, []*Link], end func(*Link) NodeID) (int, error) {
+	count := 0
+	var err error
+	m.Range(func(id NodeID, ls []*Link) bool {
+		if g.bulk == nil && cap(ls) != len(ls) {
+			err = fmt.Errorf("graph: %s index for node %d has spare capacity", name, id)
+			return false
+		}
+		for i, l := range ls {
+			if l == nil || g.links.At(l.ID) != l || end(l) != id {
+				err = fmt.Errorf("graph: %s index for node %d lists a stale link", name, id)
+				return false
+			}
+			if i > 0 && ls[i-1].ID >= l.ID {
+				err = fmt.Errorf("graph: %s index for node %d not in ascending order", name, id)
+				return false
+			}
+			count++
+		}
+		return true
+	})
+	return count, err
 }
 
 // String summarizes the graph.

@@ -9,7 +9,9 @@ import (
 // Link is a directed connection or activity between two nodes: a friendship,
 // a tagging action, a review, a derived match, or a membership. Like nodes,
 // links carry a multi-valued type and schema-less attributes, plus an
-// optional score attached by link selection.
+// optional score attached by link selection. Types may share its array
+// with other elements (see typeTuples): append to it or replace it, never
+// assign an element.
 type Link struct {
 	ID     LinkID
 	Src    NodeID
@@ -23,7 +25,7 @@ type Link struct {
 // NewLink constructs a link with the given id, endpoints and types and no
 // attributes.
 func NewLink(id LinkID, src, tgt NodeID, types ...string) *Link {
-	return &Link{ID: id, Src: src, Tgt: tgt, Types: append([]string(nil), types...)}
+	return &Link{ID: id, Src: src, Tgt: tgt, Types: internTypes(types)}
 }
 
 // End returns the node id at the given direction, implementing the paper's
@@ -62,7 +64,7 @@ func (l *Link) TypeSuperset(want []string) bool {
 // Clone returns a deep copy of the link.
 func (l *Link) Clone() *Link {
 	c := *l
-	c.Types = append([]string(nil), l.Types...)
+	c.Types = internTypes(l.Types)
 	c.Attrs = l.Attrs.Clone()
 	return &c
 }

@@ -11,7 +11,8 @@ import (
 // field realizes the paper's mandatory, multi-valued type attribute; all
 // other structure lives in Attrs. Score carries the relevance score attached
 // by a selection or discovery operator; Scored distinguishes "score zero"
-// from "never scored".
+// from "never scored". Types may share its array with other elements (see
+// typeTuples): append to it or replace it, never assign an element.
 type Node struct {
 	ID     NodeID
 	Types  []string
@@ -23,7 +24,7 @@ type Node struct {
 // NewNode constructs a node with the given id and types and no
 // attributes.
 func NewNode(id NodeID, types ...string) *Node {
-	return &Node{ID: id, Types: append([]string(nil), types...)}
+	return &Node{ID: id, Types: internTypes(types)}
 }
 
 // HasType reports whether the node carries the given type value.
@@ -58,7 +59,7 @@ func (n *Node) TypeSuperset(want []string) bool {
 // attaching scores or aggregation results so inputs stay immutable.
 func (n *Node) Clone() *Node {
 	c := *n
-	c.Types = append([]string(nil), n.Types...)
+	c.Types = internTypes(n.Types)
 	c.Attrs = n.Attrs.Clone()
 	return &c
 }

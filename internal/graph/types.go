@@ -11,6 +11,8 @@
 // iteration order, and consolidation of nodes and links by id.
 package graph
 
+import "slices"
+
 // Basic node types from the paper's evolving catalog (Section 4). The typing
 // system is open: any string is a legal type, and a node or link may carry
 // several. These constants cover the types the paper names explicitly.
@@ -42,6 +44,40 @@ const (
 	SubtypeVisit   = "visit"
 	SubtypeRating  = "rating"
 )
+
+// typeTuples are the type sets the paper's travel vocabulary repeats on
+// nearly every element. NewNode, NewLink, the two Clones and the binary
+// decoders share these slices instead of allocating a copy per element.
+// The table is fixed: it never grows and needs no lock. Sharing is safe
+// because each slice has len == cap and nothing writes Types by index, so
+// AddType's append copies instead of writing into the table.
+var typeTuples = [...][]string{
+	{TypeAct, SubtypeVisit},
+	{TypeAct, SubtypeTag},
+	{TypeAct, SubtypeReview},
+	{TypeConnect, SubtypeFriend},
+	{TypeUser},
+	{TypeItem, "destination"},
+	{TypeItem, "url"},
+}
+
+// sharedTypes returns the table's slice equal to ts, or nil.
+func sharedTypes(ts []string) []string {
+	for _, t := range typeTuples {
+		if slices.Equal(t, ts) {
+			return t
+		}
+	}
+	return nil
+}
+
+// internTypes returns the table's slice equal to ts, or a fresh copy.
+func internTypes(ts []string) []string {
+	if t := sharedTypes(ts); t != nil {
+		return t
+	}
+	return append([]string(nil), ts...)
+}
 
 // NodeID identifies a node within a social content site's id space.
 type NodeID int64

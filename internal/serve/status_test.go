@@ -65,7 +65,9 @@ func TestShedCarriesRetryAfter(t *testing.T) {
 	srv := New(eng, Config{MaxConcurrent: 1, MaxQueue: 0, FlushInterval: 40 * time.Millisecond})
 	defer srv.Close()
 	block := make(chan struct{})
+	held := make(chan struct{})
 	srv.mux.HandleFunc("GET /block", srv.limited(func(w http.ResponseWriter, r *http.Request) {
+		close(held)
 		<-block
 	}))
 	ts := httptest.NewServer(srv.Handler())
@@ -73,7 +75,13 @@ func TestShedCarriesRetryAfter(t *testing.T) {
 	defer close(block)
 
 	go http.Get(ts.URL + "/block")
-	// Wait for the blocker to hold the slot.
+	// Wait for the blocker to hold the slot before probing: a probe sent
+	// first could take the slot itself and get /block shed instead.
+	select {
+	case <-held:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the blocking handler never took the slot")
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	var resp *http.Response
 	for {
